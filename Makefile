@@ -56,12 +56,19 @@ test:
 # ci is the full gate a commit must pass: compile, vet, the analyzer
 # suite (failing on any non-baselined finding), the race-enabled tests
 # — which include the lint framework's own tests and the self-hosting
-# TestRepoIsClean gate — a short fuzz smoke over the wire codec, and
-# the bench guard, which fails the gate outright if the engine
-# regressed against the committed BENCH_engine.json.
+# TestRepoIsClean gate — a time-budgeted smoke run of every fuzz target
+# (the wire codec and in-place frame reader for 10 s, content decode
+# views, the scan differential, the x86 decoder and the detector scan
+# for 5 s each: 30 s of fuzzing in all), and the bench guard, which
+# fails the gate outright if the engine regressed against the
+# committed BENCH_engine.json.
 ci: build vet lint verify
 	$(GO) test -race ./...
 	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 5s ./internal/content/
+	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 5s ./internal/mel/
+	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 5s ./internal/x86/
+	$(GO) test -run NONE -fuzz FuzzScan -fuzztime 5s ./internal/core/
 	$(MAKE) bench-guard
 
 # bench-smoke runs the engine benchmark once with the JSON artifact

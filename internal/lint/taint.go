@@ -21,10 +21,10 @@ import (
 // dataflow layer (dataflow.go):
 //
 //   - sources: io.ReadFull / io.ReadAtLeast / reader.Read buffer fills
-//     inside the wire-facing packages (server, client, proxy,
-//     content); the payload parameters of the content pipeline and
-//     StreamScanner entry points; values ranged out of
-//     content.Decoder.Views;
+//     and bufio.Reader.Peek results inside the wire-facing packages
+//     (server, client, proxy, content); the payload parameters of the
+//     content pipeline and StreamScanner entry points; values ranged
+//     out of content.Decoder.Views;
 //   - propagation: through locals, arithmetic, conversions,
 //     binary.*Endian decodes, strconv parses, slicing, element loads,
 //     struct fields (field-sensitive, base-insensitive), and — via
@@ -365,6 +365,13 @@ func (tf *taintFunc) callResultMasks(st FlowState, call *ast.CallExpr) []FlowMas
 		}
 		return out
 	}
+	if tf.isWirePeek(call) {
+		// A peek into a buffered reader is a fill by another name: the
+		// returned bytes are the connection's.
+		out := make([]FlowMask, nres)
+		out[0] = FlowDef
+		return out
+	}
 	key, ok := callTargetKey(tf.gf.Pkg, call)
 	if !ok {
 		return make([]FlowMask, nres)
@@ -388,6 +395,17 @@ func (tf *taintFunc) callResultMasks(st FlowState, call *ast.CallExpr) []FlowMas
 		}
 	}
 	return out
+}
+
+// isWirePeek reports a (*bufio.Reader).Peek call inside a wire-facing
+// package.
+func (tf *taintFunc) isWirePeek(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Peek" || !taintReadScoped(tf.gf.Pkg.Path) {
+		return false
+	}
+	tv, ok := tf.info().Types[sel.X]
+	return ok && tv.Type != nil && types.TypeString(tv.Type, nil) == "*bufio.Reader"
 }
 
 // callResultCount returns how many values the call produces.

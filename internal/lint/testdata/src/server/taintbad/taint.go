@@ -4,6 +4,7 @@
 package taintbad
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 )
@@ -78,4 +79,14 @@ func pick(r io.Reader) byte {
 	var tab [16]byte
 	i := int(hdr[0])
 	return tab[i]
+}
+
+// peekFrame sizes an allocation from a length it peeked at in place:
+// peeked bytes are as hostile as read ones.
+func peekFrame(br *bufio.Reader) []byte {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return nil
+	}
+	return make([]byte, binary.BigEndian.Uint32(hdr))
 }

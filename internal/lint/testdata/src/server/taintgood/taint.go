@@ -5,6 +5,7 @@
 package taintgood
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -98,4 +99,22 @@ func vetted(r io.Reader, p []byte) []byte {
 		return nil
 	}
 	return take(p, n)
+}
+
+// peekFrame mirrors an in-place frame reader: the peeked length is
+// bounded by the reader's buffer before it bounds the frame slice.
+func peekFrame(br *bufio.Reader) []byte {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return nil
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > br.Size()-4 {
+		return nil
+	}
+	frame, err := br.Peek(4 + n)
+	if err != nil {
+		return nil
+	}
+	return frame[4 : 4+n]
 }

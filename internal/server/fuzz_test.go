@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -15,6 +16,8 @@ import (
 // length, and fail only with typed errors the serve loop knows how to
 // classify — errShortFrame, errFrameTooLarge, or an io read error.
 // Frames that do parse must survive a re-encode/re-decode round trip.
+// The server's in-place reader, nextFrame, must agree with readFrame
+// frame by frame on the whole stream at every read-buffer size.
 func FuzzWire(f *testing.F) {
 	f.Add(AppendScanRequest(nil, 1, []byte("\x90\x90\xC3")), uint32(1<<16))
 	f.Add(appendVerdict(nil, 7, core.Verdict{MEL: 12, BestStart: 3, Threshold: 6.5, Malicious: true}, true), uint32(1<<16))
@@ -32,11 +35,27 @@ func FuzzWire(f *testing.F) {
 	// Short: declared body smaller than the fixed header.
 	f.Add([]byte{0, 0, 0, 2, 0x01, 0x00}, uint32(1<<16))
 	f.Add([]byte{}, uint32(0))
+	// Frames one byte under, exactly at, and one byte over each read
+	// buffer size nextFrame is driven with, then a truncated tail.
+	var edges []byte
+	for _, size := range wireBufSizes {
+		for _, d := range []int{-1, 0, 1} {
+			edges = AppendScanRequest(edges, uint64(size), make([]byte, size+d-4-headerLen))
+		}
+	}
+	f.Add(edges, uint32(1<<16))
+	f.Add(append(edges, 0, 0, 1, 0, MsgScan, 1), uint32(1<<16))
+	// The same frames with a limit that makes the largest oversized.
+	f.Add(edges, uint32(wireBufSizes[len(wireBufSizes)-1]-4))
 
 	f.Fuzz(func(t *testing.T, data []byte, maxBody uint32) {
 		// Cap the limit so a parsed frame's payload stays small enough to
 		// re-encode cheaply; the limit itself is still fuzzed below it.
 		maxBody %= 1 << 20
+
+		for _, size := range wireBufSizes {
+			checkNextFrame(t, data, maxBody, size)
+		}
 
 		typ, id, payload, err := readFrame(bytes.NewReader(data), maxBody)
 		if err != nil {
@@ -110,4 +129,54 @@ func FuzzWire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wireBufSizes are the read-buffer sizes FuzzWire drives nextFrame
+// through: bufio's 16-byte minimum and sizes around and above it.
+var wireBufSizes = []int{16, 17, 64, 100}
+
+// countingReader counts Read calls on the stream under a bufio.Reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// checkNextFrame reads data to its end through readFrame and, in step,
+// through nextFrame over a size-byte bufio.Reader, and fails on the
+// first frame or error where the two differ. A frame frameBuffered
+// reports as whole must come out of the buffer without a read.
+func checkNextFrame(t *testing.T, data []byte, maxBody uint32, size int) {
+	t.Helper()
+	ref := bytes.NewReader(data)
+	cr := &countingReader{r: bytes.NewReader(data)}
+	br := bufio.NewReaderSize(cr, size)
+	for {
+		typ, id, payload, err := readFrame(ref, maxBody)
+		whole, reads := frameBuffered(br), cr.reads
+		typ2, id2, payload2, used, err2 := nextFrame(br, maxBody)
+		if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+			t.Fatalf("buffer %d: nextFrame error %v, readFrame %v", size, err2, err)
+		}
+		if typ2 != typ || id2 != id || !bytes.Equal(payload2, payload) {
+			t.Fatalf("buffer %d: nextFrame (%d,%d,%x), readFrame (%d,%d,%x)",
+				size, typ2, id2, payload2, typ, id, payload)
+		}
+		if used != 0 && (used > size || used != 4+headerLen+len(payload2)) {
+			t.Fatalf("buffer %d: in-place frame of %d payload bytes used %d", size, len(payload2), used)
+		}
+		if whole && cr.reads != reads {
+			t.Fatalf("buffer %d: frameBuffered reported a whole frame, but reading it read the stream", size)
+		}
+		if _, err := br.Discard(used); err != nil {
+			t.Fatalf("buffer %d: discarding an in-place frame: %v", size, err)
+		}
+		if err != nil && !errors.Is(err, errFrameTooLarge) {
+			return
+		}
+	}
 }

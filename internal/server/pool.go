@@ -56,7 +56,8 @@ type PoolConfig struct {
 	// OnVerdict, when set, receives every successfully served verdict
 	// (cache hits included) after its trace is recorded — the hook the
 	// model-drift watcher observes MELs through. Called from worker
-	// goroutines; must be cheap and concurrency-safe.
+	// goroutines and, for cache hits the server answers on arrival, from
+	// its connection goroutines; must be cheap and concurrency-safe.
 	OnVerdict func(core.Verdict)
 	// Content, when set, enables the content scan path: SubmitContent
 	// jobs run through this triage → decode → MEL pipeline instead of the
@@ -71,13 +72,17 @@ type PoolConfig struct {
 	Events *events.Journal
 }
 
-// job is one queued scan. content selects the pipeline path.
+// job is one scan request. content selects the pipeline path. keyed
+// marks key as holding the payload's cache key already, so a request
+// hashed on arrival is not hashed again by its worker.
 type job struct {
 	payload  []byte
 	enqueued time.Time
 	deadline time.Time
 	tr       *tracing.Trace
 	content  bool
+	keyed    bool
+	key      cacheKey
 	done     func(v core.Verdict, cached bool, err error)
 }
 
@@ -186,58 +191,32 @@ func (p *Pool) Metrics() *telemetry.Registry { return p.reg }
 //
 //mel:hotpath
 func (p *Pool) Submit(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {
-	return p.submit(payload, deadline, p.autoTrace(len(payload)), false, done)
+	return p.enqueue(job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: p.autoTrace(len(payload)), done: done})
 }
 
-// SubmitTraced is Submit with an explicit trace (e.g. one carrying a
-// client-chosen id). A nil trace disables tracing for this request
-// even when the pool has a recorder.
+// enqueue queues j without blocking: a full queue sheds it with
+// ErrOverloaded, a closed pool rejects it with ErrShuttingDown. It is
+// Submit's body, and the server's entry for its cache misses, which
+// arrive as jobs already keyed and traced.
 //
 //mel:hotpath
-func (p *Pool) SubmitTraced(payload []byte, deadline time.Time, tr *tracing.Trace, done func(v core.Verdict, cached bool, err error)) error {
-	return p.submit(payload, deadline, tr, false, done)
-}
-
-// SubmitContent is Submit routed through the content pipeline (triage
-// → decode → MEL). Fails with ErrContentDisabled when the pool was
-// built without one.
-//
-//mel:hotpath
-func (p *Pool) SubmitContent(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {
-	return p.SubmitContentTraced(payload, deadline, p.autoTrace(len(payload)), done)
-}
-
-// SubmitContentTraced is SubmitContent with an explicit trace.
-//
-//mel:hotpath
-func (p *Pool) SubmitContentTraced(payload []byte, deadline time.Time, tr *tracing.Trace, done func(v core.Verdict, cached bool, err error)) error {
-	if p.pipe == nil {
-		return ErrContentDisabled
-	}
-	return p.submit(payload, deadline, tr, true, done)
-}
-
-// submit is the shared non-blocking enqueue behind every Submit
-// variant.
-//
-//mel:hotpath
-func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent bool, done func(v core.Verdict, cached bool, err error)) error {
+func (p *Pool) enqueue(j job) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		p.rejectEvent(len(payload), tr, isContent, events.CauseShutdown)
+		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShutdown)
 		return ErrShuttingDown
 	}
 	p.m.depth.Inc()
-	tr.StageStart(tracing.StageQueueWait)
+	j.tr.StageStart(tracing.StageQueueWait)
 	select {
-	case p.jobs <- job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}:
+	case p.jobs <- j:
 		p.publishPressure()
 		return nil
 	default:
 		p.m.depth.Dec()
 		p.m.shed.Inc()
-		p.rejectEvent(len(payload), tr, isContent, events.CauseShed)
+		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShed)
 		return ErrOverloaded
 	}
 }
@@ -456,23 +435,9 @@ func (p *Pool) serve(j job) {
 		j.done(core.Verdict{}, false, ErrDeadlineExceeded)
 		return
 	}
-	var key cacheKey
 	if p.cache != nil {
-		tr.StageStart(tracing.StageCache)
-		key = cacheKey{sum: sha256.Sum256(j.payload), content: j.content}
-		v, ok := p.cache.get(key)
-		tr.StageEnd(tracing.StageCache)
-		if ok {
-			p.m.hits.Inc()
-			if tr != nil {
-				tr.SetCached(true)
-				tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
-				if j.content {
-					tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
-				}
-				v.TraceID = tr.ID
-			}
-			p.finish(j, v, true)
+		if v, ok := p.lookup(&j); ok {
+			j.done(v, true, nil)
 			return
 		}
 		p.m.misses.Inc()
@@ -497,9 +462,46 @@ func (p *Pool) serve(j job) {
 		// future hits; each hit stamps its own.
 		cv := v
 		cv.TraceID = tracing.TraceID{}
-		p.cache.put(key, cv)
+		p.cache.put(j.key, cv)
 	}
-	p.finish(j, v, false)
+	p.record(&j, v, false)
+	j.done(v, false, nil)
+}
+
+// lookup answers j from the verdict cache, which must be enabled. It
+// hashes the payload under the cache stage unless j is keyed already —
+// a request hashed on arrival, whose worker re-checks here so that a
+// duplicate scanned while it queued is not scanned again — and leaves
+// j keyed for a miss's cache fill. A hit is served in full here (see
+// record), on whichever goroutine asked; the caller only delivers the
+// verdict. Misses are the caller's to count: a request that misses on
+// arrival and hits on the re-check counts once, as a hit.
+func (p *Pool) lookup(j *job) (core.Verdict, bool) {
+	var v core.Verdict
+	var ok bool
+	if j.keyed {
+		v, ok = p.cache.get(j.key)
+	} else {
+		j.tr.StageStart(tracing.StageCache)
+		j.key = cacheKey{sum: sha256.Sum256(j.payload), content: j.content}
+		j.keyed = true
+		v, ok = p.cache.get(j.key)
+		j.tr.StageEnd(tracing.StageCache)
+	}
+	if !ok {
+		return core.Verdict{}, false
+	}
+	p.m.hits.Inc()
+	if tr := j.tr; tr != nil {
+		tr.SetCached(true)
+		tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
+		if j.content {
+			tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
+		}
+		v.TraceID = tr.ID
+	}
+	p.record(j, v, true)
+	return v, true
 }
 
 // abort completes and records a trace for a failed request.
@@ -512,11 +514,12 @@ func (p *Pool) abort(tr *tracing.Trace, err error) {
 	p.rec.Record(tr)
 }
 
-// finish records a served verdict and delivers it. The trace is
+// record does a served verdict's bookkeeping: counters, latency since
+// j.enqueued, the OnVerdict hook and the journal event. The trace is
 // finished and recorded (and its id attached to the latency histogram
-// as an exemplar) before done runs, so a client that immediately
-// queries /debug/traces sees its own request.
-func (p *Pool) finish(j job, v core.Verdict, cached bool) {
+// as an exemplar) before the caller delivers the verdict, so a client
+// that immediately queries /debug/traces sees its own request.
+func (p *Pool) record(j *job, v core.Verdict, cached bool) {
 	p.m.scans.Inc()
 	p.m.bytes.Add(uint64(len(j.payload)))
 	if v.Malicious {
@@ -528,15 +531,14 @@ func (p *Pool) finish(j job, v core.Verdict, cached bool) {
 	if j.tr != nil {
 		j.tr.Finish()
 		p.rec.Record(j.tr)
-		p.m.latency.ObserveExemplar(lat, j.tr.ID.String())
+		p.m.latency.ObserveExemplar(lat, j.tr.ID)
 	} else {
 		p.m.latency.Observe(lat)
 	}
 	if p.onVerdict != nil {
 		p.onVerdict(v)
 	}
-	p.recordJobEvent(&j, v, cached, events.CauseOK)
-	j.done(v, cached, nil)
+	p.recordJobEvent(j, v, cached, events.CauseOK)
 }
 
 // Queue reports the job queue's current depth and capacity — the

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/content"
@@ -90,11 +92,13 @@ type Server struct {
 	connsTotal  *telemetry.Counter
 	badFrames   *telemetry.Counter
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	// draining is set once, by Close, before it expires the read
+	// deadlines; read loops check it without taking mu.
+	draining atomic.Bool
 
 	connWG sync.WaitGroup
 }
@@ -216,7 +220,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
 	// Unblock every reader stuck in a frame read: readers notice the
 	// shutdown when the deadline fires and exit through their drain
@@ -237,16 +241,17 @@ func (s *Server) Close() error {
 
 // isDraining reports whether shutdown has begun.
 func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	return s.draining.Load()
 }
 
-// handleConn runs one connection: this goroutine reads frames and
-// submits jobs; a writer goroutine serializes responses. Workers hand
-// completed verdicts to the writer through out; dead tears the writer
-// down after it drains whatever is already queued.
+// handleConn runs one connection. This goroutine reads frames and
+// answers verdict-cache hits itself: the payload is hashed where it
+// sits in the read buffer and the verdict appended to the connection's
+// buffered writer. Misses are copied out and submitted to the pool,
+// whose workers hand their responses to the writer goroutine through
+// out; dead tears the writer down after it drains whatever is queued.
 func (s *Server) handleConn(conn net.Conn) {
+	w := &connWriter{conn: conn, timeout: s.cfg.WriteTimeout, bw: bufio.NewWriterSize(conn, 64<<10)}
 	out := make(chan []byte, connOutDepth)
 	dead := make(chan struct{})
 	writerDone := make(chan struct{})
@@ -254,7 +259,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	go func() {
 		defer close(writerDone)
-		s.connWriter(conn, out, dead)
+		w.run(out, dead)
 	}()
 
 	// respond hands one encoded frame to the writer unless the
@@ -271,11 +276,30 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	maxBody := uint32(headerLen + s.cfg.MaxPayload + maxFrameSlop)
+	used := 0      // bytes the previous frame still occupies in br
+	wrote := false // hits appended since the last flush
 	for {
+		_, _ = br.Discard(used) // used <= br.Buffered(): nextFrame peeked it
+		// Hold inline answers back only while another whole frame is
+		// buffered: its answer can share the write, but a frame still
+		// arriving must not delay them.
+		if wrote && !frameBuffered(br) {
+			if w.flush() != nil {
+				break
+			}
+			wrote = false
+		}
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			if s.isDraining() {
+				// Close may have expired the deadline just before the
+				// line above pushed it out again: expire it once more,
+				// or the loop would idle until the read timeout.
+				_ = conn.SetReadDeadline(time.Now())
+			}
 		}
-		typ, id, payload, err := readFrame(br, maxBody)
+		typ, id, payload, n, err := nextFrame(br, maxBody)
+		used = n
 		if errors.Is(err, errFrameTooLarge) {
 			// The oversized body was consumed; answer with the typed
 			// error and keep the connection.
@@ -301,6 +325,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			respond(appendError(nil, id, CodeBadRequest, ErrContentDisabled.Error()))
 			continue
 		}
+		// tr is the trace the client asked to have echoed; the pool may
+		// still trace an untraced request for its own recorder.
 		var tr *tracing.Trace
 		if typ == MsgScanTraced || typ == MsgScanContentTraced {
 			if len(payload) < traceIDLen {
@@ -324,14 +350,29 @@ func (s *Server) handleConn(conn net.Conn) {
 			respond(appendError(nil, id, CodeShuttingDown, ErrShuttingDown.Error()))
 			continue
 		}
-		var deadline time.Time
+		j := job{payload: payload, enqueued: time.Now(), tr: tr, content: isContent}
+		if tr == nil {
+			j.tr = s.pool.autoTrace(len(payload))
+		}
+		if s.pool.cache != nil {
+			if v, ok := s.pool.lookup(&j); ok {
+				if w.writeHit(id, v, isContent, tr) != nil {
+					break
+				}
+				wrote = true
+				continue
+			}
+		}
+		if used > 0 {
+			// The worker outlives the frame's place in the read buffer.
+			j.payload = bytes.Clone(payload)
+		}
 		if s.cfg.RequestTimeout > 0 {
-			deadline = time.Now().Add(s.cfg.RequestTimeout)
+			j.deadline = j.enqueued.Add(s.cfg.RequestTimeout)
 		}
 		reqWG.Add(1)
 		reqID := id
-		reqTr := tr
-		done := func(v core.Verdict, cached bool, scanErr error) {
+		j.done = func(v core.Verdict, cached bool, scanErr error) {
 			defer reqWG.Done()
 			if scanErr != nil {
 				respond(appendError(nil, reqID, codeFor(scanErr), scanErr.Error()))
@@ -339,28 +380,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			// The pool finished the trace before invoking done, so the
 			// stage durations read here are final.
-			switch {
-			case isContent && reqTr != nil:
-				respond(appendVerdictContentTraced(nil, reqID, v, cached, reqTr))
-			case isContent:
-				respond(appendVerdictContent(nil, reqID, v, cached))
-			case reqTr != nil:
-				respond(appendVerdictTraced(nil, reqID, v, cached, reqTr))
-			default:
-				respond(appendVerdict(nil, reqID, v, cached))
-			}
+			respond(appendVerdictFrame(nil, reqID, v, cached, isContent, tr))
 		}
-		switch {
-		case isContent && tr != nil:
-			err = s.pool.SubmitContentTraced(payload, deadline, tr, done)
-		case isContent:
-			err = s.pool.SubmitContent(payload, deadline, done)
-		case tr != nil:
-			err = s.pool.SubmitTraced(payload, deadline, tr, done)
-		default:
-			err = s.pool.Submit(payload, deadline, done)
-		}
-		if err != nil {
+		if err := s.pool.enqueue(j); err != nil {
 			reqWG.Done()
 			respond(appendError(nil, id, codeFor(err), err.Error()))
 		}
@@ -374,51 +396,94 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn.Close()
 }
 
-// connWriter owns the write side of one connection. It batches
-// whatever responses are pending into one buffered flush. On dead it
-// drains the queue, flushes, and exits.
-func (s *Server) connWriter(conn net.Conn, out <-chan []byte, dead <-chan struct{}) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	write := func(frame []byte) bool {
-		if s.cfg.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+// connWriter is one connection's write side: a buffered writer shared
+// by the read loop, which appends cache-hit verdicts in place, and the
+// writer goroutine (run), which writes the pool's responses. mu
+// serializes the two.
+type connWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+
+	mu sync.Mutex
+	bw *bufio.Writer
+}
+
+// writeHit appends a cache hit's verdict frame to the buffer, flushing
+// first only if the buffer lacks room for it. The frame is built in the
+// buffer's free space, so nothing is allocated.
+func (w *connWriter) writeHit(id uint64, v core.Verdict, isContent bool, tr *tracing.Trace) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.bw.Available() < maxVerdictFrame {
+		if err := w.flushLocked(); err != nil {
+			return err
 		}
-		_, err := bw.Write(frame)
-		return err == nil
 	}
-	flush := func() bool { return bw.Flush() == nil }
+	_, err := w.bw.Write(appendVerdictFrame(w.bw.AvailableBuffer(), id, v, true, isContent, tr))
+	return err
+}
+
+// flush writes out whatever the buffer holds.
+func (w *connWriter) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushLocked()
+}
+
+// flushLocked is flush with w.mu held: one write under the write
+// deadline, skipped when the buffer is empty.
+func (w *connWriter) flushLocked() error {
+	if w.bw.Buffered() == 0 {
+		return nil
+	}
+	w.setDeadline()
+	return w.bw.Flush()
+}
+
+// setDeadline bounds the next write to the peer.
+func (w *connWriter) setDeadline() {
+	if w.timeout > 0 {
+		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+}
+
+// run delivers the pool's responses. It batches whatever responses are
+// pending into one buffered flush. On dead — every sender is done — it
+// writes what is still queued, flushes, and exits; it also exits on a
+// write error.
+func (w *connWriter) run(out <-chan []byte, dead <-chan struct{}) {
 	for {
 		select {
 		case frame := <-out:
-			if !write(frame) {
-				return
-			}
-			// Opportunistically batch everything already queued.
-			for more := true; more; {
-				select {
-				case f := <-out:
-					if !write(f) {
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			if !flush() {
+			if w.writeBatch(frame, out) != nil {
 				return
 			}
 		case <-dead:
-			for {
-				select {
-				case f := <-out:
-					if !write(f) {
-						return
-					}
-				default:
-					flush()
-					return
-				}
+			select {
+			case frame := <-out:
+				_ = w.writeBatch(frame, out)
+			default:
+				_ = w.flush()
 			}
+			return
+		}
+	}
+}
+
+// writeBatch writes frame and every response already queued behind it,
+// then flushes, all under one hold of w.mu.
+func (w *connWriter) writeBatch(frame []byte, out <-chan []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		w.setDeadline()
+		if _, err := w.bw.Write(frame); err != nil {
+			return err
+		}
+		select {
+		case frame = <-out:
+		default:
+			return w.flushLocked()
 		}
 	}
 }

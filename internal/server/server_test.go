@@ -13,6 +13,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/shellcode"
+	"repro/internal/telemetry/events"
 )
 
 // startServer runs a server on an ephemeral loopback port and returns
@@ -117,7 +118,8 @@ func TestServeVerdictsMatchLocal(t *testing.T) {
 // TestCacheHitFlagAndMetrics: the second scan of identical bytes is
 // served from the cache, flagged as such, and counted.
 func TestCacheHitFlagAndMetrics(t *testing.T) {
-	srv, addr := startServer(t, server.Config{})
+	journal := events.New(events.Config{Capacity: 64, Shards: 1, SampleEvery: 1})
+	srv, addr := startServer(t, server.Config{Events: journal})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +146,10 @@ func TestCacheHitFlagAndMetrics(t *testing.T) {
 	}
 	reg := srv.Metrics()
 	for name, want := range map[string]float64{
-		"scans_total":        2,
-		"cache_hits_total":   1,
-		"cache_misses_total": 1,
+		"scans_total":         2,
+		"cache_hits_total":    1,
+		"cache_misses_total":  1,
+		"bytes_scanned_total": float64(2 * len(p)),
 	} {
 		if got, ok := reg.Value(name); !ok || got != want {
 			t.Fatalf("%s = %v (ok=%v), want %v", name, got, ok, want)
@@ -154,6 +157,19 @@ func TestCacheHitFlagAndMetrics(t *testing.T) {
 	}
 	if v, ok := reg.Value("verdicts_benign_total"); !ok || v < 1 {
 		t.Fatalf("verdicts_benign_total = %v, ok=%v", v, ok)
+	}
+	// The journal holds one served event per request, the hit marked.
+	var served, cached int
+	for _, e := range journal.Snapshot(0) {
+		if e.Cause == events.CauseOK && e.Bytes == len(p) {
+			served++
+			if e.Cached {
+				cached++
+			}
+		}
+	}
+	if served != 2 || cached != 1 {
+		t.Fatalf("journal holds %d served events (%d cached), want 2 (1 cached)", served, cached)
 	}
 }
 

@@ -114,6 +114,17 @@ func TestTracedCacheHitGetsFreshTraceID(t *testing.T) {
 	if second.Trace.Stages[tracing.StageDP] >= 0 {
 		t.Fatal("cache hit claims a DP stage")
 	}
+	// Hits are answered on arrival, before the queue.
+	if second.Trace.Stages[tracing.StageQueueWait] >= 0 {
+		t.Fatal("cache hit claims a queue_wait stage")
+	}
+	found := false
+	for _, got := range rec.Recent(0) {
+		found = found || (got.ID == second.Trace.ID && got.Cached)
+	}
+	if !found {
+		t.Fatalf("cache hit's trace %s not in the flight recorder", second.Trace.ID)
+	}
 }
 
 // TestUntracedClientAgainstTracingServer: a plain client against a

@@ -41,6 +41,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,6 +114,9 @@ const (
 	// tracedContentVerdictMax a MsgVerdictContentTraced one.
 	contentVerdictMax       = verdictLen + contentExtMax
 	tracedContentVerdictMax = tracedVerdictMax + contentExtMax
+
+	// maxVerdictFrame bounds one framed verdict of any kind.
+	maxVerdictFrame = 4 + headerLen + tracedContentVerdictMax
 )
 
 // wire framing errors.
@@ -155,6 +159,37 @@ func readFrame(r io.Reader, maxBody uint32) (typ byte, id uint64, payload []byte
 	return body[0], binary.BigEndian.Uint64(body[1:9]), body[headerLen:], nil
 }
 
+// nextFrame is readFrame for a buffered reader, reading in place: a
+// well-formed frame that fits br's buffer is returned without copying.
+// Its payload aliases br's buffer and stays valid only until the caller
+// discards the used bytes the frame occupies there. Any other frame —
+// larger than the buffer, short, oversized, truncated — goes through
+// readFrame, with used 0 and a payload the caller owns.
+func nextFrame(br *bufio.Reader, maxBody uint32) (typ byte, id uint64, payload []byte, used int, err error) {
+	if hdr, perr := br.Peek(4); perr == nil {
+		n := binary.BigEndian.Uint32(hdr)
+		if n >= headerLen && n <= maxBody && uint64(n)+4 <= uint64(br.Size()) {
+			used = 4 + int(n)
+			if frame, perr := br.Peek(used); perr == nil {
+				return frame[4], binary.BigEndian.Uint64(frame[5 : 4+headerLen]), frame[4+headerLen : used : used], used, nil
+			}
+		}
+	}
+	typ, id, payload, err = readFrame(br, maxBody)
+	return typ, id, payload, 0, err
+}
+
+// frameBuffered reports whether br already holds a whole frame, so
+// reading the next one cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(binary.BigEndian.Uint32(hdr))+4 <= uint64(n)
+}
+
 // appendFrame appends one framed message to dst and returns the
 // extended slice — writers frame into a reused buffer with no
 // per-message allocation.
@@ -170,6 +205,22 @@ func appendFrame(dst []byte, typ byte, id uint64, payload ...[]byte) []byte {
 		dst = append(dst, p...)
 	}
 	return dst
+}
+
+// appendVerdictFrame appends the verdict frame a request is answered
+// with: the content form for content scans, and the traced form
+// echoing tr when the client sent a trace id (tr nil otherwise).
+func appendVerdictFrame(dst []byte, id uint64, v core.Verdict, cached, isContent bool, tr *tracing.Trace) []byte {
+	switch {
+	case isContent && tr != nil:
+		return appendVerdictContentTraced(dst, id, v, cached, tr)
+	case isContent:
+		return appendVerdictContent(dst, id, v, cached)
+	case tr != nil:
+		return appendVerdictTraced(dst, id, v, cached, tr)
+	default:
+		return appendVerdict(dst, id, v, cached)
+	}
 }
 
 // appendVerdict appends a MsgVerdict frame for v.

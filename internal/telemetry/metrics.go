@@ -8,6 +8,7 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"math"
 	"sort"
 	"strconv"
@@ -86,10 +87,11 @@ type Histogram struct {
 // most recent traced value that landed there — so a latency spike in a
 // bucket can be chased to a flight-recorder entry by trace id.
 type Exemplar struct {
-	// TraceID is the hex trace id of the observation.
-	TraceID string `json:"trace_id"`
+	// TraceID is the raw 16-byte trace id of the observation; Snapshot
+	// renders it as hex, so observing costs no string encoding.
+	TraceID [16]byte
 	// Value is the observed value (same unit as the histogram).
-	Value float64 `json:"value"`
+	Value float64
 }
 
 // NewHistogram builds a histogram over the given ascending upper
@@ -125,11 +127,12 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveExemplar records one value and attaches traceID as the
-// bucket's exemplar, replacing any previous one. The exemplar is a
-// single atomic pointer publish on top of Observe's cost.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+// bucket's exemplar, replacing any previous one; a zero id attaches
+// none. The exemplar is a single atomic pointer publish on top of
+// Observe's cost.
+func (h *Histogram) ObserveExemplar(v float64, traceID [16]byte) {
 	i := sort.SearchFloat64s(h.bounds, v)
-	if traceID != "" {
+	if traceID != ([16]byte{}) {
 		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
 	h.counts[i].Add(1)
@@ -172,7 +175,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
 		}
 		s.Exemplars = append(s.Exemplars, BucketExemplar{
-			LE: le, TraceID: ex.TraceID, Value: ex.Value,
+			LE: le, TraceID: hex.EncodeToString(ex.TraceID[:]), Value: ex.Value,
 		})
 	}
 	return s

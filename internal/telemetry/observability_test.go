@@ -117,33 +117,37 @@ func TestInfoMetric(t *testing.T) {
 }
 
 func TestHistogramExemplars(t *testing.T) {
+	id := func(b byte) [16]byte { return [16]byte{0: 0xa0, 15: b} }
 	h := NewHistogram([]float64{1, 2})
-	h.ObserveExemplar(0.5, "aaaa")
-	h.ObserveExemplar(0.7, "bbbb") // replaces aaaa in the first bucket
-	h.ObserveExemplar(9.0, "cccc") // overflow bucket
-	h.Observe(1.5)                 // untraced: no exemplar
+	h.ObserveExemplar(0.5, id(0xaa))
+	h.ObserveExemplar(0.7, id(0xbb))   // replaces 0xaa in the first bucket
+	h.ObserveExemplar(9.0, id(0xcc))   // overflow bucket
+	h.ObserveExemplar(1.2, [16]byte{}) // zero id: no exemplar
+	h.Observe(1.5)                     // untraced: no exemplar
 	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count = %d, want 4", s.Count)
+	if s.Count != 5 {
+		t.Fatalf("count = %d, want 5", s.Count)
 	}
 	if len(s.Exemplars) != 2 {
 		t.Fatalf("exemplars = %+v, want 2 buckets", s.Exemplars)
 	}
-	if s.Exemplars[0].LE != "1" || s.Exemplars[0].TraceID != "bbbb" || s.Exemplars[0].Value != 0.7 {
+	// The snapshot renders the raw id as the 32 hex digits the trace
+	// endpoints use.
+	if s.Exemplars[0].LE != "1" || s.Exemplars[0].TraceID != "a00000000000000000000000000000bb" || s.Exemplars[0].Value != 0.7 {
 		t.Fatalf("first exemplar = %+v", s.Exemplars[0])
 	}
-	if s.Exemplars[1].LE != "+Inf" || s.Exemplars[1].TraceID != "cccc" {
+	if s.Exemplars[1].LE != "+Inf" || s.Exemplars[1].TraceID != "a00000000000000000000000000000cc" {
 		t.Fatalf("overflow exemplar = %+v", s.Exemplars[1])
 	}
 	// Exemplars ride the JSON snapshot but stay out of the text format.
 	r := NewRegistry()
 	rh := r.Histogram("lat", "", []float64{1, 2})
-	rh.ObserveExemplar(0.5, "dddd")
+	rh.ObserveExemplar(0.5, id(0xdd))
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), "dddd") {
+	if strings.Contains(sb.String(), "a00000000000000000000000000000dd") {
 		t.Fatal("exemplar leaked into text exposition")
 	}
 }
